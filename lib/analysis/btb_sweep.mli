@@ -17,22 +17,12 @@ type t
 
 val run : Tool.Source.t -> (int * int) array -> t array
 (** [run src configs] with [(entries, assoc)] pairs; result [i]
-    corresponds to [configs.(i)].
-
-    A [Sampled] source simulates every config over the plan's prefix
-    while a fixed pivot geometry covers the full capture; each cell is
-    extrapolated per cluster when {!Regions.Cell.gate} bounds the
-    error ({!approx}/{!mpki_ci}), otherwise the config is escalated to
-    exact tail simulation continuing from its prefix state —
-    bit-identical to the unsampled run. Results never depend on which
-    other configs are in the array. *)
-
-val approx : t -> bool
-(** [true] when this result's cells are extrapolated rather than
-    counted. *)
+    corresponds to [configs.(i)]. Results never depend on which other
+    configs are in the array. *)
 
 val mpki_ci : t -> Branch_mix.scope -> float
-(** 95% confidence half-width of {!mpki} (0 for exact results). *)
+(** Always [0.0]: every result is an exact count over the whole
+    source, so {!mpki} carries no confidence interval. *)
 
 val entries : t -> int
 val assoc : t -> int

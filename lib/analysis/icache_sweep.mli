@@ -35,22 +35,11 @@ val cfg :
 
 val run : ?next_line_prefetch:bool -> Tool.Source.t -> config array -> t array
 (** [run src configs]; result [i] corresponds to [configs.(i)].
-    [next_line_prefetch] applies to every configuration of the sweep.
-
-    A [Sampled] source simulates every config over the plan's prefix
-    while a fixed pivot cache covers the full capture; each cell is
-    extrapolated per cluster when {!Regions.Cell.gate} bounds the
-    error ({!approx}/{!mpki_ci}), otherwise the config is escalated to
-    exact tail simulation continuing from its prefix state —
-    bit-identical to the unsampled run. For extrapolated configs,
-    {!accesses}/{!usefulness} reflect the simulated prefix only. *)
-
-val approx : t -> bool
-(** [true] when this result's cells are extrapolated rather than
-    counted. *)
+    [next_line_prefetch] applies to every configuration of the sweep. *)
 
 val mpki_ci : t -> Branch_mix.scope -> float
-(** 95% confidence half-width of {!mpki} (0 for exact results). *)
+(** Always [0.0]: every result is an exact count over the whole
+    source, so {!mpki} carries no confidence interval. *)
 
 val insts : t -> Branch_mix.scope -> int
 val misses : t -> Branch_mix.scope -> int

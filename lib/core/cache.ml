@@ -1,7 +1,7 @@
 module Telemetry = Repro_util.Telemetry
 module Faults = Repro_util.Faults
 
-let version = "3"
+let version = "4"
 
 let magic = "REPROCACHE2\n"
 let suffix = ".bin"

@@ -235,9 +235,6 @@ let run_task_frame msg =
   in
   Experiment.set_packed (flag "packed" ~default:true);
   Experiment.set_fused (flag "fused" ~default:true);
-  (match J.member "sample" msg with
-  | Some (J.Num f) -> Experiment.set_sampled (Some f)
-  | _ -> Experiment.set_sampled None);
   let task = { Experiment.t_kind = kind; t_bench = bench } in
   let ok, err =
     match Experiment.run_task ~scale task with
@@ -984,9 +981,6 @@ let journal_fingerprint ~scale id =
   String.concat "|"
     ([ "dispatch1"; Experiment.to_string id; Printf.sprintf "%h" scale;
        Cache.version;
-       (match Experiment.sample_fraction () with
-       | Some f -> Printf.sprintf "s%h" f
-       | None -> "s-");
        (if Experiment.packed_enabled () then "p1" else "p0");
        (if Experiment.fused_enabled () then "f1" else "f0") ]
     @ List.map Experiment.task_id (Experiment.tasks_for id))
@@ -1087,11 +1081,7 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
          [ ("op", J.Str "task"); ("kind", J.Str t.Experiment.t_kind);
            ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale);
            ("packed", J.Bool (Experiment.packed_enabled ()));
-           ("fused", J.Bool (Experiment.fused_enabled ()));
-           ( "sample",
-             match Experiment.sample_fraction () with
-             | Some f -> J.Num f
-             | None -> J.Null ) ])
+           ("fused", J.Bool (Experiment.fused_enabled ())) ])
   in
   let grant pool =
     if not (draining ()) then

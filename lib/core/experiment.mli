@@ -103,26 +103,6 @@ val set_fused : bool -> unit
 
 val fused_enabled : unit -> bool
 
-val set_sampled : float option -> unit
-(** Set (or clear, with [None]) representative-region sampling for
-    the trace-simulating sweeps of figs 5-9, overriding
-    [REPRO_SAMPLE]. The fraction is the target share of packed-trace
-    regions simulated exactly; out-of-range values warn once and
-    clamp to [0.01, 1.0], and fractions at or above 0.995 run
-    unsampled. Each benchmark's capture is partitioned into
-    phase-aligned regions, clustered by basic-block vector
-    ({!Repro_analysis.Regions}), and only a representative prefix is
-    simulated per configuration; the tail is extrapolated per cluster
-    when the statistical gate bounds the error (cells render with a
-    "≈" marker and figure means carry confidence intervals), or
-    simulated exactly otherwise. Requires packed capture; with
-    [REPRO_PACKED=0] sampling is ignored. *)
-
-val sample_fraction : unit -> float option
-(** Effective sampling fraction after override/env parsing and
-    clamping; [None] when sampling is off (including fractions that
-    clamp to the unsampled regime). *)
-
 (** {1 Task decomposition}
 
     The unit of work the {!Dispatch} layer shards across worker
@@ -151,7 +131,7 @@ val tasks_for : id -> task list
 
 val run_task : scale:float -> task -> bool
 (** Execute one task under the current process-wide toggles
-    (packed/fused/sampling), storing its artifact in the {!Cache}.
+    (packed/fused), storing its artifact in the {!Cache}.
     Returns [false] for an unknown kind/tag or benchmark (a
     version-skewed coordinator), [true] otherwise — including tasks
     whose measurement degraded to a hole, which simply store nothing

@@ -19,7 +19,6 @@ module Frame = Frame
 type config = {
   scale : float;
   jobs : int;
-  sample : float option;
   faults : string option;
   packed : bool;
   fused : bool;
@@ -30,38 +29,37 @@ let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 let current_config () =
   { scale = Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 ();
     jobs = Engine.default_jobs ();
-    sample = Experiment.sample_fraction ();
     faults = Faults.spec ();
     packed = Experiment.packed_enabled ();
     fused = Experiment.fused_enabled () }
 
-let env_config () =
-  let scale = Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 () in
+(* Each reader falls back to the running value when its variable is
+   unset (or malformed), so a reload never silently undoes a setting
+   the daemon was started with (e.g. [serve --scale 0.05]). An empty
+   [REPRO_FAULTS] is set, and clears the fault spec. *)
+let env_config base =
   let jobs =
     match Env.int_clamped ~name:"REPRO_JOBS" ~min:1 ~max:64 () with
     | Some j -> j
-    | None -> Engine.default_jobs ()
-  in
-  let sample =
-    match Env.float_clamped ~name:"REPRO_SAMPLE" ~min:0.01 ~max:1.0 () with
-    | Some f when f < 0.995 -> Some f
-    | Some _ | None -> None
+    | None -> base.jobs
   in
   let faults =
     match Sys.getenv_opt "REPRO_FAULTS" with
-    | None | Some "" -> None
+    | None -> base.faults
+    | Some "" -> None
     | Some s -> Some s
   in
-  { scale; jobs; sample; faults;
-    packed = Env.flag ~name:"REPRO_PACKED" ~default:true;
-    fused = Env.flag ~name:"REPRO_FUSED" ~default:true }
+  { scale = Env.float_positive ~name:"REPRO_SCALE" ~default:base.scale ();
+    jobs;
+    faults;
+    packed = Env.flag ~name:"REPRO_PACKED" ~default:base.packed;
+    fused = Env.flag ~name:"REPRO_FUSED" ~default:base.fused }
 
 (* Push a configuration into the process-wide toggles. Called only
    from inside the reload critical section (or before any worker is
    spawned), so no request can observe a half-applied set. *)
 let apply_config cfg =
   Engine.set_default_jobs cfg.jobs;
-  Experiment.set_sampled cfg.sample;
   Experiment.set_packed cfg.packed;
   Experiment.set_fused cfg.fused;
   Faults.configure cfg.faults
@@ -70,7 +68,6 @@ let config_json cfg =
   Json.Obj
     [ ("scale", Json.Num cfg.scale);
       ("jobs", Json.Num (float_of_int cfg.jobs));
-      ("sample", (match cfg.sample with Some f -> Json.Num f | None -> Json.Null));
       ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null));
       ("packed", Json.Bool cfg.packed);
       ("fused", Json.Bool cfg.fused) ]
@@ -227,11 +224,30 @@ let stats_json t =
        [ ("entries", Json.Num (float_of_int (Cache.entries ())));
          ("quarantined", Json.Num (float_of_int (Cache.quarantined ()))) ]) ]
 
+(* Members a reload request may carry. Anything else is refused by
+   name: a field this build does not know (a typo, or an option an
+   older build had) must not be accepted and silently ignored. *)
+let reload_fields =
+  [ "op"; "seq"; "env"; "scale"; "jobs"; "faults"; "packed"; "fused" ]
+
 (* Build the reload target: the current (or env) config overridden by
-   the request's explicit fields. Malformed fields are errors, not
-   silent fallbacks — a reload that half-parsed must not half-apply. *)
+   the request's explicit fields. Malformed or unknown fields are
+   errors, not silent fallbacks — a reload that half-parsed must not
+   half-apply. *)
 let parse_reload base req =
   let ( let* ) = Result.bind in
+  let* () =
+    match req with
+    | Json.Obj members -> (
+        match
+          List.find_opt
+            (fun (k, _) -> not (List.mem k reload_fields))
+            members
+        with
+        | Some (k, _) -> Error ("unknown field: " ^ k)
+        | None -> Ok ())
+    | _ -> Ok ()
+  in
   let num name k acc =
     match Json.member name req with
     | None -> Ok acc
@@ -258,16 +274,6 @@ let parse_reload base req =
         if float_of_int j <> f || j < 1 then Error "jobs must be a positive integer"
         else Ok { acc with jobs = clamp_jobs j })
       cfg
-  in
-  let* cfg =
-    match Json.member "sample" req with
-    | None -> Ok cfg
-    | Some Json.Null -> Ok { cfg with sample = None }
-    | Some (Json.Num f) ->
-        if Float.is_finite f && f > 0.0 && f <= 1.0 then
-          Ok { cfg with sample = Some f }
-        else Error "sample must be in (0, 1] or null"
-    | Some _ -> Error "sample must be a number or null"
   in
   let* cfg =
     match Json.member "faults" req with
@@ -341,7 +347,7 @@ let dispatch t payload =
           | Some "reload" -> (
               let base =
                 match Json.member "env" req with
-                | Some (Json.Bool true) -> env_config ()
+                | Some (Json.Bool true) -> env_config (config t)
                 | _ -> config t
               in
               match parse_reload base req with

@@ -32,8 +32,8 @@
     {2 Zero-downtime reload}
 
     A [reload] request — or, in the CLI wrapper, [SIGHUP] — swaps the
-    active configuration (scale, jobs, sampling fraction, fault spec,
-    packed/fused toggles) atomically with respect to request
+    active configuration (scale, jobs, fault spec, packed/fused
+    toggles) atomically with respect to request
     dispatch: the reloader waits for in-flight requests to drain
     (new arrivals park at the gate), applies the new configuration to
     the process-wide toggles, bumps the {e generation} counter, and
@@ -55,7 +55,6 @@ module Frame = Frame
 type config = {
   scale : float;  (** instruction-budget multiplier for every run *)
   jobs : int;  (** {!Engine} pool size per request (clamped 1..64) *)
-  sample : float option;  (** {!Experiment.set_sampled} fraction *)
   faults : string option;  (** {!Repro_util.Faults.configure} spec *)
   packed : bool;  (** packed-trace capture ({!Experiment.set_packed}) *)
   fused : bool;  (** fused sweep kernels ({!Experiment.set_fused}) *)
@@ -67,11 +66,13 @@ val current_config : unit -> config
     Honours flags applied before [start] (e.g. the CLI's engine
     flags). *)
 
-val env_config : unit -> config
-(** Rebuild the configuration from the current environment
-    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_SAMPLE], [REPRO_FAULTS],
-    [REPRO_PACKED], [REPRO_FUSED]), through the audited
-    {!Repro_util.Env} readers. This is the [SIGHUP] reload source. *)
+val env_config : config -> config
+(** [env_config base] overlays the [REPRO_*] variables that are set
+    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS], [REPRO_PACKED],
+    [REPRO_FUSED]) onto [base], through the audited
+    {!Repro_util.Env} readers; an unset or malformed variable keeps
+    [base]'s value. This is the [SIGHUP] reload source, applied to
+    the running configuration. *)
 
 (** {1 Lifecycle} *)
 

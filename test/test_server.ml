@@ -14,7 +14,7 @@ let scale = 0.02
 (* Every test runs against a fresh daemon on a private socket and a
    private cache directory, and restores the process-global toggles
    the server's apply_config touches. *)
-let with_server ?(workers = 4) f =
+let with_server ?(workers = 4) ?(scale = scale) f =
   let tag = Printf.sprintf "%d_%d" (Unix.getpid ()) (Random.int 1_000_000) in
   let sock = Printf.sprintf "_server_test_%s.sock" tag in
   let cache_dir = Printf.sprintf "_server_test_cache_%s" tag in
@@ -32,7 +32,6 @@ let with_server ?(workers = 4) f =
       (try Sys.rmdir cache_dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled;
-      C.Experiment.set_sampled None;
       C.Experiment.set_packed true;
       C.Experiment.set_fused true;
       Repro_util.Faults.configure None)
@@ -228,13 +227,30 @@ let test_reload_semantics () =
           Alcotest.(check bool) "bad reload rejected" true
             (field "ok" bad = J.Bool false);
           Alcotest.(check int) "generation unchanged" 0 (S.generation t);
+          (* a field this build does not know is refused by name, not
+             accepted and ignored: neither the removed [sample] option
+             nor an arbitrary unknown key may move the generation *)
+          List.iter
+            (fun (key, v) ->
+              let r =
+                request conn
+                  (J.Obj
+                     [ ("op", J.Str "reload"); (key, v);
+                       ("scale", J.Num scale) ])
+              in
+              Alcotest.(check bool) (key ^ " reload rejected") true
+                (field "ok" r = J.Bool false);
+              (match field "error" r with
+              | J.Str e ->
+                  Alcotest.(check bool) (key ^ " named in the error") true
+                    (String.ends_with ~suffix:key e)
+              | _ -> Alcotest.fail "error is not a string");
+              Alcotest.(check int) "generation unchanged" 0 (S.generation t))
+            [ ("sample", J.Num 0.25); ("bogus", J.Num 1.0) ];
           (* a good reload bumps the generation and echoes the config *)
           let r =
             request conn
-              (J.Obj
-                 [ ("op", J.Str "reload");
-                   ("sample", J.Null);
-                   ("scale", J.Num scale) ])
+              (J.Obj [ ("op", J.Str "reload"); ("scale", J.Num scale) ])
           in
           check_ok r;
           Alcotest.(check bool) "generation bumped" true
@@ -249,6 +265,31 @@ let test_reload_semantics () =
           match field "reloads" st with
           | J.Num v -> Alcotest.(check (float 0.0)) "one reload" 1.0 v
           | _ -> Alcotest.fail "reloads is not a number"))
+
+(* An environment reload overlays only the REPRO_* variables that are
+   set: a daemon started at a non-default scale keeps it when
+   REPRO_SCALE is unset, instead of falling back to full scale. *)
+let test_env_reload_keeps_unset () =
+  if List.exists (fun v -> Sys.getenv_opt v <> None) [ "REPRO_SCALE"; "REPRO_JOBS" ]
+  then Alcotest.skip ();
+  with_server ~scale:0.05 (fun (t, sock) ->
+      let conn = S.Client.connect ~socket:sock () in
+      Fun.protect
+        ~finally:(fun () -> S.Client.close conn)
+        (fun () ->
+          let before = S.config t in
+          let r =
+            request conn (J.Obj [ ("op", J.Str "reload"); ("env", J.Bool true) ])
+          in
+          check_ok r;
+          Alcotest.(check bool) "generation bumped" true
+            (field "generation" r = J.Num 1.0);
+          (match J.member "scale" (field "config" r) with
+          | Some (J.Num v) -> Alcotest.(check (float 0.0)) "scale kept" 0.05 v
+          | _ -> Alcotest.fail "config.scale is not a number");
+          let after = S.config t in
+          Alcotest.(check (float 0.0)) "running scale kept" 0.05 after.S.scale;
+          Alcotest.(check int) "jobs kept" before.S.jobs after.S.jobs))
 
 (* The property the quiesce gate exists for: under a storm of
    concurrent reloads, every request still gets exactly one response,
@@ -308,4 +349,6 @@ let () =
       ("reload",
        Alcotest.test_case "semantics and update lag" `Quick
          test_reload_semantics
+       :: Alcotest.test_case "env reload keeps unset knobs" `Quick
+            test_env_reload_keeps_unset
        :: qcheck [ qcheck_reload_never_loses_responses ]) ]
