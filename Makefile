@@ -37,14 +37,12 @@ bench-json: build
 	$(DUNE) exec bench/main.exe -- --check-json BENCH_results.json
 
 # Full CI gate: build everything, run the whole test suite (golden,
-# qcheck differential, packed-replay and fused-sweep identity tests
-# included), then regenerate BENCH_results.json over the trace-sweep
-# figures — whose entries carry the stream-vs-replay probe
-# (stream_ms / replay_ms / sweep_speedup) and the fused-kernel probe
-# (unfused_ms / fused_ms / fused_speedup) — and validate the emitted
-# schema (v10); the check fails if any sweep's fused_speedup drops
-# below 1.0. fig8p adds the learned block (lru_mpki / preuse_mpki /
-# crossover_size) to the file.
+# qcheck differential, packed-replay and kernel-vs-observer sweep
+# identity tests included), then regenerate BENCH_results.json over
+# the trace-sweep figures and validate the emitted schema (v11).
+# fig8p adds the learned block (lru_mpki / preuse_mpki /
+# crossover_size) to the file. Sweep-kernel speed is measured per
+# layer by perfbench, not gated here.
 ci: build
 	$(DUNE) runtest
 	rm -f BENCH_results.json
@@ -60,7 +58,7 @@ ci: build
 
 # Fault-torture gate: the tier-1 suite plus a bench sweep with every
 # fault site firing at 5% (seed 42). Supervision must absorb the
-# injected failures — the run completes, emits schema-v10 JSON that
+# injected failures — the run completes, emits schema-v11 JSON that
 # validates, and the injected-fault counter in the engine footer
 # proves the sites actually fired. The fresh cache directory also
 # exercises quarantine and torn-write recovery end to end.
@@ -77,7 +75,7 @@ ci-faults: build
 # Daemon gate: drive an in-process characterization server with a
 # short closed-loop load test over a fresh cache — 4 concurrent
 # clients, a zero-downtime reload at the halfway mark — and validate
-# the emitted schema-v10 serve block (p50/p90/p99 latency, throughput,
+# the emitted schema-v11 serve block (p50/p90/p99 latency, throughput,
 # update_lag_ms). --expect-serve makes a missing serve run an error,
 # and the check fails unless every concurrent response was
 # byte-identical to the one-shot renderings.

@@ -11,12 +11,6 @@
                                               cores; results identical)
      dune exec bench/main.exe -- --no-cache   ignore the persistent
                                               _cache/ directory
-     dune exec bench/main.exe -- --no-packed  disable packed-trace
-                                              capture/replay (stream
-                                              every trace afresh)
-     dune exec bench/main.exe -- --no-fused   disable the fused sweep
-                                              kernels (one simulator
-                                              per configuration)
      dune exec bench/main.exe -- fig5 --workers 4
                                               probe distributed sweep
                                               execution: shard each
@@ -106,10 +100,10 @@ module T = Repro_util.Telemetry
 module J = Repro_util.Json
 
 (* Malformed, non-finite and non-positive REPRO_SCALE values warn
-   once and fall back to 1.0 (the old code silently accepted nan/0/
-   negative scales, which poison every measurement derived from the
-   instruction budget). *)
-let scale = Repro_util.Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 ()
+   once and fall back to 1.0: such scales would poison every
+   measurement derived from the instruction budget. The CLI and the
+   serve daemon read the same default. *)
+let scale = Repro_core.Experiment.default_scale ()
 
 (* ------------------------------------------------------------------ *)
 (* Experiment regeneration: one section per paper table/figure. *)
@@ -129,10 +123,6 @@ type measurement = {
   m_faults : int; (* injected faults that fired during this experiment *)
   m_seq_ms : float option; (* uncached -j1 probe, jobs > 1 only *)
   m_par_ms : float option; (* uncached -jN probe, jobs > 1 only *)
-  m_stream_ms : float option; (* streaming sweep probe, figs 5-9 only *)
-  m_replay_ms : float option; (* packed-replay sweep probe, figs 5-9 only *)
-  m_unfused_ms : float option; (* per-config sweep probe, figs 5-9 only *)
-  m_fused_ms : float option; (* fused-kernel sweep probe, figs 5-9 only *)
   m_dist_ms : float option; (* --workers N distributed probe *)
   m_dist_speedup : float option; (* in-process -j1 time / distributed time *)
 }
@@ -160,75 +150,6 @@ let speedup_probe ~jobs id =
         let par = timed jobs in
         let seq = timed 1 in
         (Some seq, Some par))
-  end
-
-let is_trace_sim = function
-  | Repro_core.Experiment.Fig5 | Fig6 | Fig7 | Fig8 | Fig8p | Fig9 -> true
-  | _ -> false
-
-(* Sweep probe for the trace-simulating experiments: the same sweep
-   with packed capture disabled (the generator re-runs on every
-   per-benchmark pass) against a replay over warm captures. The ratio
-   is the wall-time the packed representation saves a harness that
-   sweeps the same traces repeatedly. *)
-let sweep_probe id =
-  if not (is_trace_sim id) then (None, None)
-  else begin
-    let was_cache = Repro_core.Cache.enabled () in
-    let was_packed = Repro_core.Experiment.packed_enabled () in
-    Repro_core.Cache.set_enabled false;
-    Fun.protect
-      ~finally:(fun () ->
-        Repro_core.Cache.set_enabled was_cache;
-        Repro_core.Experiment.set_packed was_packed)
-      (fun () ->
-        let timed () =
-          let t0 = T.now_ns () in
-          ignore (Repro_core.Report.run_to_string ~scale ~jobs:1 id);
-          ms_since t0
-        in
-        Repro_core.Experiment.set_packed false;
-        Repro_core.Experiment.clear_cache ();
-        (* Each arm takes the min of two passes: wall-clock minima
-           are robust to scheduler noise on shared hosts, and these
-           numbers feed ratio gates with thin margins. *)
-        let stream = Float.min (timed ()) (timed ()) in
-        Repro_core.Experiment.set_packed true;
-        Repro_core.Experiment.clear_cache ();
-        ignore (timed ()) (* capture pass: warm the packed memo *);
-        let replay = Float.min (timed ()) (timed ()) in
-        (Some stream, Some replay))
-  end
-
-(* Fused-kernel probe for the trace-simulating experiments: the same
-   sweep with the fused multi-configuration kernels disabled (one
-   simulator per configuration over a shared replay) against the
-   fused default. Both timed runs replay warm packed captures over a
-   warm memo, so the ratio isolates the sweep kernel itself. *)
-let fused_probe id =
-  if not (is_trace_sim id) then (None, None)
-  else begin
-    let was_cache = Repro_core.Cache.enabled () in
-    let was_fused = Repro_core.Experiment.fused_enabled () in
-    Repro_core.Cache.set_enabled false;
-    Fun.protect
-      ~finally:(fun () ->
-        Repro_core.Cache.set_enabled was_cache;
-        Repro_core.Experiment.set_fused was_fused)
-      (fun () ->
-        let timed () =
-          let t0 = T.now_ns () in
-          ignore (Repro_core.Report.run_to_string ~scale ~jobs:1 id);
-          ms_since t0
-        in
-        ignore (timed ()) (* warm the packed-capture memo *);
-        Repro_core.Experiment.set_fused false;
-        (* Min of two passes per arm: the fused_speedup >= 1.0 gate
-           rides on this ratio, so de-noise each side. *)
-        let unfused = Float.min (timed ()) (timed ()) in
-        Repro_core.Experiment.set_fused true;
-        let fused = Float.min (timed ()) (timed ()) in
-        (Some unfused, Some fused))
   end
 
 (* Distributed-execution probe (--workers N): the experiment's task
@@ -417,8 +338,6 @@ let run_experiment ~jobs ~measure id =
          so they only run after a clean pass. *)
       let probe2 f = if status = "ok" then f () else (None, None) in
       let seq_ms, par_ms = probe2 (fun () -> speedup_probe ~jobs id) in
-      let stream_ms, replay_ms = probe2 (fun () -> sweep_probe id) in
-      let unfused_ms, fused_ms = probe2 (fun () -> fused_probe id) in
       let dist_ms, dist_speedup = probe2 (fun () -> dist_probe id) in
       Some
         { m_id = name;
@@ -435,10 +354,6 @@ let run_experiment ~jobs ~measure id =
           m_faults = Repro_util.Faults.injected () - faults0;
           m_seq_ms = seq_ms;
           m_par_ms = par_ms;
-          m_stream_ms = stream_ms;
-          m_replay_ms = replay_ms;
-          m_unfused_ms = unfused_ms;
-          m_fused_ms = fused_ms;
           m_dist_ms = dist_ms;
           m_dist_speedup = dist_speedup }
     end
@@ -480,18 +395,6 @@ let measurement_json ~jobs m =
         match (m.m_seq_ms, m.m_par_ms) with
         | Some s, Some p when p > 0.0 -> J.Num (s /. p)
         | _ -> J.Null );
-      ("stream_ms", opt m.m_stream_ms);
-      ("replay_ms", opt m.m_replay_ms);
-      ( "sweep_speedup",
-        match (m.m_stream_ms, m.m_replay_ms) with
-        | Some s, Some r when r > 0.0 -> J.Num (s /. r)
-        | _ -> J.Null );
-      ("unfused_ms", opt m.m_unfused_ms);
-      ("fused_ms", opt m.m_fused_ms);
-      ( "fused_speedup",
-        match (m.m_unfused_ms, m.m_fused_ms) with
-        | Some u, Some f when f > 0.0 -> J.Num (u /. f)
-        | _ -> J.Null );
       ("dist_ms", opt m.m_dist_ms);
       ("dist_speedup", opt m.m_dist_speedup) ]
 
@@ -521,8 +424,8 @@ let learned_json ids =
         let insts =
           max 50_000 (int_of_float (float_of_int p.total_insts *. scale))
         in
-        let tr = W.Executor.trace (W.Executor.create ~insts p) in
-        let rs = A.Icache_sweep.run (A.Tool.Source.of_trace tr) configs in
+        let pt = W.Executor.packed (W.Executor.create ~insts p) in
+        let rs = A.Icache_sweep.run pt configs in
         Array.iteri
           (fun i r ->
             sums.(i) <- sums.(i) +. A.Icache_sweep.mpki r A.Branch_mix.Total)
@@ -601,10 +504,9 @@ let emit_json ~jobs ?(serve = J.Null) ?(learned = J.Null)
     ?(distributed = J.Null) path rows =
   let doc =
     J.Obj
-      [ ("schema_version", J.Num 10.0);
+      [ ("schema_version", J.Num 11.0);
         ("scale", J.Num scale);
         ("jobs", J.Num (float_of_int jobs));
-        ("packed", J.Bool (Repro_core.Experiment.packed_enabled ()));
         ("strict", J.Bool (Repro_core.Experiment.strict_enabled ()));
         ( "faults",
           match Repro_util.Faults.spec () with
@@ -646,8 +548,8 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
         | None -> fail "field %S missing" name
       in
       (match J.member "schema_version" doc with
-      | Some (J.Num v) when v = 10.0 -> ()
-      | Some (J.Num v) -> fail "schema_version %g (want 10)" v
+      | Some (J.Num v) when v = 11.0 -> ()
+      | Some (J.Num v) -> fail "schema_version %g (want 11)" v
       | Some _ -> fail "schema_version is not a number"
       | None -> fail "top-level \"schema_version\" missing");
       let faulted =
@@ -880,9 +782,8 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
               in
               List.iter
                 (fun name -> ignore (probe_field name))
-                [ "seq_ms"; "par_ms"; "speedup_vs_j1"; "stream_ms";
-                  "replay_ms"; "sweep_speedup"; "unfused_ms"; "fused_ms";
-                  "fused_speedup"; "dist_ms"; "dist_speedup" ];
+                [ "seq_ms"; "par_ms"; "speedup_vs_j1"; "dist_ms";
+                  "dist_speedup" ];
               (* A probe's fields travel together: a raw time without
                  its companion (or a derived speedup without its raw
                  inputs) means the emitter half-recorded a probe. And
@@ -904,8 +805,6 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                           are recorded" id
                       (String.concat "/" group))
                 [ [ "seq_ms"; "par_ms"; "speedup_vs_j1" ];
-                  [ "stream_ms"; "replay_ms"; "sweep_speedup" ];
-                  [ "unfused_ms"; "fused_ms"; "fused_speedup" ];
                   [ "dist_ms"; "dist_speedup" ] ];
               (* Distributed gate: sharding a sweep's task space over
                  worker processes must not lose to the in-process -j1
@@ -916,7 +815,7 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                  single-core box can merely bound the coordination
                  overhead (frames, journal fsyncs, context switches). *)
               let dist_floor = if single_core then 0.75 else 1.0 in
-              (match J.member "dist_speedup" row with
+              match J.member "dist_speedup" row with
               | Some (J.Num v) when v < dist_floor && not faulted
                                     && not dist_chaos
                                     && not dist_remote_run ->
@@ -926,16 +825,6 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                   else
                     fail "%s: dist_speedup %.2f < 1.0 (distributed sweep \
                           slower than in-process -j1)" id v
-              | _ -> ());
-              (* Perf gate: the fused kernels must never lose to the
-                 per-config simulators they replace. Like the
-                 distributed gate, speed is only gated on undisturbed
-                 runs — fault injection and chaos kills add process
-                 churn that makes wall-clock ratios noise. *)
-              match J.member "fused_speedup" row with
-              | Some (J.Num v) when v < 1.0 && not faulted && not dist_chaos ->
-                  fail "%s: fused_speedup %.2f < 1.0 (fused kernels slower \
-                        than unfused)" id v
               | _ -> ())
             rows;
           Printf.printf "%s: ok (%d experiment%s)\n" path (List.length rows)
@@ -1296,7 +1185,7 @@ let valid_ids () =
    (jobs, json output file, file to validate, journal enabled,
    remaining args). Malformed [--retry] / [--timeout-ms] values warn
    on stderr and keep the default, matching the REPRO_JOBS /
-   REPRO_PACKED convention — a typo degrades the supervision knob,
+   REPRO_PACKED_MB convention — a typo degrades the supervision knob,
    it does not kill a run that may be hours in. *)
 let parse_flags args =
   let json = ref None in
@@ -1413,12 +1302,6 @@ let parse_flags args =
     | "--no-cache" :: rest ->
         Repro_core.Cache.set_enabled false;
         go jobs acc rest
-    | "--no-packed" :: rest ->
-        Repro_core.Experiment.set_packed false;
-        go jobs acc rest
-    | "--no-fused" :: rest ->
-        Repro_core.Experiment.set_fused false;
-        go jobs acc rest
     | "--no-journal" :: rest ->
         journal := false;
         go jobs acc rest
@@ -1475,7 +1358,7 @@ let parse_flags args =
 
 let journal_fingerprint ~measure ids =
   String.concat "|"
-    ([ "schema10"; Repro_core.Cache.version; Printf.sprintf "%h" scale;
+    ([ "schema11"; Repro_core.Cache.version; Printf.sprintf "%h" scale;
        string_of_bool measure; string_of_int !dist_workers;
        string_of_int !dist_remote; string_of_bool !dist_kill;
        (match Repro_util.Faults.spec () with Some s -> s | None -> "") ]

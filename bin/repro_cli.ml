@@ -14,12 +14,22 @@
 
 open Cmdliner
 
+(* Unset, the scale comes from the same REPRO_SCALE reader the bench
+   harness and the serve daemon's environment reload use, resolved
+   per invocation. *)
 let scale_arg =
   let doc =
     "Scale factor on every benchmark's dynamic instruction budget \
-     (1.0 = full runs, smaller = faster and noisier)."
+     (1.0 = full runs, smaller = faster and noisier; default \
+     \\$(b,REPRO_SCALE), else 1.0)."
   in
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"FACTOR" ~doc)
+  let resolve = function
+    | Some s -> s
+    | None -> Repro_core.Experiment.default_scale ()
+  in
+  Term.(
+    const resolve
+    $ Arg.(value & opt (some float) None & info [ "scale" ] ~docv:"FACTOR" ~doc))
 
 (* Evaluated per command invocation: [-j N] bounds the Engine domain
    pool and [--no-cache] disables the persistent cache, neither of

@@ -71,44 +71,6 @@ let feed t (i : Inst.t) =
 
 let observer t = feed t
 
-(* Packed fast path: everything [feed] does on a non-conditional,
-   non-warmup instruction is bump the per-section instruction count,
-   and warmup non-conditionals do nothing at all — so the exact
-   per-section totals are absorbed in bulk and only the conditional
-   branches are replayed. [feed_conditional] is [feed] minus the
-   instruction count (already absorbed). *)
-let feed_conditional t (i : Inst.t) =
-  if i.warmup then engine_update t i
-  else begin
-    let s = i.section in
-    Tool.Split.incr t.conds s;
-    let pred = engine_predict t i in
-    if pred <> i.taken then begin
-      if not i.taken then Tool.Split.incr t.miss_nt s
-      else if i.target < i.addr then Tool.Split.incr t.miss_tb s
-      else Tool.Split.incr t.miss_tf s
-    end;
-    engine_update t i
-  end
-
-let run_packed pt sims =
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  List.iter
-    (fun t ->
-      Tool.Split.add t.insts Repro_isa.Section.Serial serial;
-      Tool.Split.add t.insts Repro_isa.Section.Parallel parallel)
-    sims;
-  let arr = Array.of_list sims in
-  Repro_isa.Packed_trace.replay_conditionals pt (fun i ->
-      for k = 0 to Array.length arr - 1 do
-        feed_conditional (Array.unsafe_get arr k) i
-      done)
-
-let run_all src sims =
-  match src with
-  | Tool.Source.Stream _ -> Tool.run_all_source src (List.map observer sims)
-  | Tool.Source.Packed pt -> run_packed pt sims
-
 let predictor_name t =
   match t.engine with
   | Packed p -> p.Repro_frontend.Predictor.name

@@ -21,12 +21,6 @@ val create_static : static -> t
 val feed : t -> Repro_isa.Inst.t -> unit
 val observer : t -> Repro_isa.Inst.t -> unit
 
-val run_all : Tool.Source.t -> t list -> unit
-(** Drive every sim over the source in one pass. On a packed capture
-    this replays only the conditional branches and absorbs the
-    per-section instruction totals in bulk — observationally
-    identical to streaming, an order of magnitude fewer callbacks. *)
-
 val predictor_name : t -> string
 val insts : t -> Branch_mix.scope -> int
 val conditional_branches : t -> Branch_mix.scope -> int

@@ -68,16 +68,18 @@ let ghr_mask = 0xFFFFFF
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
 
-let run src specs =
+let run pt specs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length specs in
   let engines = Array.map realize specs in
   let miss = Array.make (n * cells) 0 in
-  let insts_s = ref 0 and insts_p = ref 0 in
+  let insts_s, insts_p = Repro_isa.Packed_trace.counted pt in
   let conds_s = ref 0 and conds_p = ref 0 in
   let ghr = ref 0 in
   (* One conditional branch, all configs; the history push is hoisted
-     out of the per-config loop. Mirrors [Bp_sim.feed_conditional]. *)
+     out of the per-config loop. Mirrors [Bp_sim.feed] on a
+     conditional branch, minus the instruction count (the capture's
+     bulk section totals supply it). *)
   let feed_cond (i : Inst.t) =
     let pcx = i.addr lsr 1 in
     if i.warmup then
@@ -134,27 +136,12 @@ let run src specs =
     end;
     ghr := ((!ghr lsl 1) lor (if i.taken then 1 else 0)) land ghr_mask
   in
-  (match src with
-  | Tool.Source.Packed pt ->
-      let serial, parallel = Repro_isa.Packed_trace.counted pt in
-      insts_s := serial;
-      insts_p := parallel;
-      Repro_isa.Packed_trace.replay_conditionals pt feed_cond
-  | Tool.Source.Stream _ ->
-      Tool.run_all_source src
-        [ (fun i ->
-            if i.Inst.warmup then begin
-              if i.Inst.kind = Inst.Cond_branch then feed_cond i
-            end
-            else begin
-              (if section_bit i = 0 then incr insts_s else incr insts_p);
-              if i.Inst.kind = Inst.Cond_branch then feed_cond i
-            end) ]);
+  Repro_isa.Packed_trace.replay_conditionals pt feed_cond;
   Array.mapi
     (fun k spec ->
       { name = spec_name spec;
-        insts_s = !insts_s;
-        insts_p = !insts_p;
+        insts_s;
+        insts_p;
         conds_s = !conds_s;
         conds_p = !conds_p;
         miss = Array.sub miss (k * cells) cells })

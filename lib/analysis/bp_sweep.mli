@@ -1,10 +1,10 @@
 (** Fused multi-configuration branch-predictor sweep: every
-    configuration of Figs. 5/6 simulated in one pass over the source.
+    configuration of Figs. 5/6 simulated in one pass over the
+    conditional branches of a packed capture.
 
-    {!Bp_sim.run_all} already shares the trace replay across sims,
-    but each sim still pays per-event closure dispatch through
-    {!Repro_frontend.Predictor.t} and a private history register.
-    This kernel exploits that every gshare-family configuration
+    Per-configuration {!Bp_sim} observers would each pay per-event
+    closure dispatch through {!Repro_frontend.Predictor.t} and a
+    private history register. This kernel exploits that every gshare-family configuration
     derives its table index from the same global history: the
     register is maintained once per conditional branch as a bare
     [int] and each configuration applies its own width mask
@@ -35,10 +35,12 @@ type t
 (** Per-configuration result; accessors mirror {!Bp_sim}. *)
 
 val run : Tool.Source.t -> spec array -> t array
-(** Simulate every spec in one pass; result [i] corresponds to spec
-    [i] and is bit-identical to an unfused [Bp_sim] run of the same
-    configuration over the same source. Results never depend on which
-    other specs are in the array. *)
+(** Simulate every spec in one pass over the capture's conditional
+    branches (section totals come from its bulk counts); result [i]
+    corresponds to spec [i] and is bit-identical to a {!Bp_sim}
+    observer of the same configuration driven over the stream the
+    capture was built from. Results never depend on which other
+    specs are in the array. *)
 
 val mpki_ci : t -> Branch_mix.scope -> float
 (** Always [0.0]: every result is an exact count over the whole

@@ -14,12 +14,6 @@ val create : entries:int -> assoc:int -> t
 val feed : t -> Repro_isa.Inst.t -> unit
 val observer : t -> Repro_isa.Inst.t -> unit
 
-val run_all : Tool.Source.t -> t list -> unit
-(** Drive every sim over the source in one pass. On a packed capture
-    only the fetch-redirect slice of the stream is replayed and the
-    instruction totals are absorbed in bulk; results are identical
-    to streaming. *)
-
 val insts : t -> Branch_mix.scope -> int
 val taken_branches : t -> Branch_mix.scope -> int
 val misses : t -> Branch_mix.scope -> int

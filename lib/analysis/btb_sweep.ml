@@ -18,7 +18,7 @@ type t = {
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
 
-let run src configs =
+let run pt configs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length configs in
   let btbs =
@@ -48,10 +48,12 @@ let run src configs =
     !geos;
   let gset = Array.make ngeo 0 and gtag = Array.make ngeo 0 in
   let miss = Array.make (n * cells) 0 in
-  let insts_s = ref 0 and insts_p = ref 0 in
+  let insts_s, insts_p = Repro_isa.Packed_trace.counted pt in
   let taken_s = ref 0 and taken_p = ref 0 in
   (* One fetch redirect (taken non-syscall/non-return branch), all
-     configs. Mirrors [Btb_sim.feed_redirect]. *)
+     configs. Mirrors [Btb_sim.feed] on a redirect, minus the
+     instruction count (the capture's bulk section totals supply
+     it). *)
   let feed_redirect (i : Inst.t) =
     let pcx = i.addr lsr 1 in
     for g = 0 to ngeo - 1 do
@@ -82,32 +84,13 @@ let run src configs =
       done
     end
   in
-  (match src with
-  | Tool.Source.Packed pt ->
-      let serial, parallel = Repro_isa.Packed_trace.counted pt in
-      insts_s := serial;
-      insts_p := parallel;
-      Repro_isa.Packed_trace.replay_redirects pt feed_redirect
-  | Tool.Source.Stream _ ->
-      Tool.run_all_source src
-        [ (fun (i : Inst.t) ->
-            let redirect =
-              i.taken && Inst.is_branch i && i.kind <> Inst.Syscall
-              && i.kind <> Inst.Return
-            in
-            if i.warmup then begin
-              if redirect then feed_redirect i
-            end
-            else begin
-              (if section_bit i = 0 then incr insts_s else incr insts_p);
-              if redirect then feed_redirect i
-            end) ]);
+  Repro_isa.Packed_trace.replay_redirects pt feed_redirect;
   Array.mapi
     (fun k (entries, assoc) ->
       { entries;
         assoc;
-        insts_s = !insts_s;
-        insts_p = !insts_p;
+        insts_s;
+        insts_p;
         taken_s = !taken_s;
         taken_p = !taken_p;
         miss = Array.sub miss (k * cells) cells })

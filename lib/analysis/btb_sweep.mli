@@ -6,9 +6,11 @@
     decomposition runs once per distinct geometry per redirect and
     every same-geometry table is driven through
     {!Repro_frontend.Btb.lookup_at}/[insert_at] with the shared
-    pair. Miss counts land in a flat config-major matrix. Results
-    are bit-identical to unfused {!Btb_sim} runs (pinned by the
-    qcheck differential in [test/test_sweep.ml]).
+    pair. Only the capture's fetch redirects are replayed; section
+    totals come from its bulk counts. Miss counts land in a flat
+    config-major matrix. Results are bit-identical to per-config
+    {!Btb_sim} observers over the full stream (pinned by the qcheck
+    differential in [test/test_sweep.ml]).
 
     Runs under a [sweep.fused] telemetry span. *)
 

@@ -40,11 +40,6 @@ let feed t (i : Inst.t) =
 
 let observer t = feed t
 
-(* The I-cache observes every instruction (sequential extraction and
-   line crossings), so the packed form brings no filtering — just a
-   much cheaper producer than re-running the generator. *)
-let run_all src sims = Tool.run_all_source src (List.map feed sims)
-
 let scope_get split = function
   | Branch_mix.Total -> Tool.Split.total split
   | Branch_mix.Only s -> Tool.Split.get split s

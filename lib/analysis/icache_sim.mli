@@ -17,11 +17,6 @@ val create :
 val feed : t -> Repro_isa.Inst.t -> unit
 val observer : t -> Repro_isa.Inst.t -> unit
 
-val run_all : Tool.Source.t -> t list -> unit
-(** Drive every sim over the full stream in one pass (the I-cache
-    observes every instruction; a packed source only makes the
-    producer cheaper). *)
-
 val insts : t -> Branch_mix.scope -> int
 val misses : t -> Branch_mix.scope -> int
 val mpki : t -> Branch_mix.scope -> float

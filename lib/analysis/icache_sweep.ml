@@ -159,7 +159,7 @@ let grouped_feed ~caches ~groups ~on_inst ~on_miss =
       done
     end
 
-let run ?next_line_prefetch src configs =
+let run ?next_line_prefetch pt configs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length configs in
   let caches =
@@ -180,7 +180,7 @@ let run ?next_line_prefetch src configs =
         let j = (k * cells) + sec in
         Array.unsafe_set miss j (Array.unsafe_get miss j + 1))
   in
-  Tool.run_all_source src [ feed ];
+  Repro_isa.Packed_trace.replay pt feed;
   Array.iter (flush caches) groups;
   Array.mapi
     (fun k _ ->

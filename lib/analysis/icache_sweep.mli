@@ -9,9 +9,11 @@
     register are computed once per group per instruction, and on the
     (dominant) same-line path the consumed-granule bitmask is
     precomputed once and or'd into every member cache through
-    {!Repro_frontend.Icache.consume_line}. Results are bit-identical
-    to unfused {!Icache_sim} runs (pinned by the qcheck differential
-    in [test/test_sweep.ml]).
+    {!Repro_frontend.Icache.consume_line}. The I-cache observes every
+    instruction, so the kernel replays the whole capture. Results are
+    bit-identical to per-config {!Icache_sim} observers over the same
+    stream (pinned by the qcheck differential in
+    [test/test_sweep.ml]).
 
     Runs under a [sweep.fused] telemetry span. *)
 

@@ -215,10 +215,9 @@ let bye_payload () =
   J.to_string (J.Obj [ ("op", J.Str "bye"); ("counters", J.Obj counters) ])
 
 (* Execute one task frame through the ordinary Experiment machinery.
-   The frame carries the coordinator's toggles, so a worker always
-   computes under exactly the configuration the coordinator will
-   render under. Shared by the socketpair (local) and TCP (remote)
-   worker loops. *)
+   The frame carries the coordinator's scale, so a worker always
+   computes exactly the artifact the coordinator will render from.
+   Shared by the socketpair (local) and TCP (remote) worker loops. *)
 let run_task_frame msg =
   let str k =
     match J.member k msg with Some (J.Str s) -> Some s | _ -> None
@@ -230,11 +229,6 @@ let run_task_frame msg =
     | Some f -> f
     | None -> 1.0
   in
-  let flag k ~default =
-    match J.member k msg with Some (J.Bool b) -> b | _ -> default
-  in
-  Experiment.set_packed (flag "packed" ~default:true);
-  Experiment.set_fused (flag "fused" ~default:true);
   let task = { Experiment.t_kind = kind; t_bench = bench } in
   let ok, err =
     match Experiment.run_task ~scale task with
@@ -980,9 +974,7 @@ let journal_name id = "dispatch-" ^ Experiment.to_string id
 let journal_fingerprint ~scale id =
   String.concat "|"
     ([ "dispatch1"; Experiment.to_string id; Printf.sprintf "%h" scale;
-       Cache.version;
-       (if Experiment.packed_enabled () then "p1" else "p0");
-       (if Experiment.fused_enabled () then "f1" else "f0") ]
+       Cache.version ]
     @ List.map Experiment.task_id (Experiment.tasks_for id))
 
 (* ------------------------------------------------------------------ *)
@@ -1079,9 +1071,7 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
     J.to_string
       (J.Obj
          [ ("op", J.Str "task"); ("kind", J.Str t.Experiment.t_kind);
-           ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale);
-           ("packed", J.Bool (Experiment.packed_enabled ()));
-           ("fused", J.Bool (Experiment.fused_enabled ())) ])
+           ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale) ])
   in
   let grant pool =
     if not (draining ()) then

@@ -83,6 +83,9 @@ let locked f = Mutex.protect memo_lock f
 let characterizations : (string * float, A.Characterization.t) Hashtbl.t =
   Hashtbl.create 64
 
+let default_scale () =
+  Repro_util.Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 ()
+
 let scaled_insts (p : W.Profile.t) scale =
   max 50_000 (int_of_float (float_of_int p.total_insts *. scale))
 
@@ -150,44 +153,6 @@ let evaluate_cmps_learned scale (p : W.Profile.t) =
       tagged
 
 (* ------------------------------------------------------------------ *)
-(* Packed traces.
-
-   The trace-simulating experiments (figs 5-9) sweep many hardware
-   configurations over each (profile, scale) instruction stream; some
-   visit the same stream from several figures. Rather than re-running
-   the generator on every visit, the stream is captured once into a
-   {!Repro_isa.Packed_trace} and replayed. An LRU byte budget
-   (REPRO_PACKED_MB, default 512) keeps the resident set bounded;
-   REPRO_PACKED=0 disables capture entirely and REPRO_PACKED_CACHE=1
-   additionally persists captures through {!Cache}. *)
-
-(* Environment toggles are re-read on use (tests flip them with
-   [putenv], and the Server daemon's reload path re-reads them) but
-   validated with a warning only once per variable, through the
-   shared {!Repro_util.Env} helper: a malformed value warns on stderr
-   with the accepted forms and falls back to the default instead of
-   being silently ignored. *)
-let env_flag name ~default = Repro_util.Env.flag ~name ~default
-
-let packed_override = ref None
-let set_packed b = packed_override := Some b
-
-let packed_enabled () =
-  match !packed_override with
-  | Some b -> b
-  | None -> env_flag "REPRO_PACKED" ~default:true
-
-let packed_cache () = env_flag "REPRO_PACKED_CACHE" ~default:false
-
-let fused_override = ref None
-let set_fused b = fused_override := Some b
-
-let fused_enabled () =
-  match !fused_override with
-  | Some b -> b
-  | None -> env_flag "REPRO_FUSED" ~default:true
-
-(* ------------------------------------------------------------------ *)
 (* Strict mode and degradation holes.
 
    A benchmark whose supervised measurement fails (after Engine's
@@ -203,7 +168,7 @@ let set_strict b = strict_override := Some b
 let strict_enabled () =
   match !strict_override with
   | Some b -> b
-  | None -> env_flag "REPRO_STRICT" ~default:false
+  | None -> Repro_util.Env.flag ~name:"REPRO_STRICT" ~default:false
 
 (* Cell marker for a measurement lost to a failed benchmark. A bare
    "-" already means "metric not defined here"; "!" is visibly a
@@ -221,6 +186,16 @@ let record_hole where (fl : Failure.t) =
 
 let holes () = locked (fun () -> List.rev !holes_ref)
 let clear_holes () = locked (fun () -> holes_ref := [])
+
+(* ------------------------------------------------------------------ *)
+(* Packed traces.
+
+   The trace-simulating experiments (figs 5-9) sweep many hardware
+   configurations over each (profile, scale) instruction stream; some
+   visit the same stream from several figures. Rather than re-running
+   the generator on every visit, the stream is captured once into a
+   {!Repro_isa.Packed_trace} and replayed. An LRU byte budget
+   (REPRO_PACKED_MB, default 512) keeps the resident set bounded. *)
 
 let packed_budget_bytes =
   lazy
@@ -270,10 +245,6 @@ let evict_packed ~keep =
         packed_bytes := !packed_bytes - e.bytes
   done
 
-let capture scale (p : W.Profile.t) =
-  let insts = scaled_insts p scale in
-  W.Executor.packed (W.Executor.create ~insts p)
-
 let packed_trace scale (p : W.Profile.t) =
   let key = (p.name, scale) in
   let hit =
@@ -289,10 +260,7 @@ let packed_trace scale (p : W.Profile.t) =
   | Some pt -> pt
   | None ->
       let pt =
-        if packed_cache () then
-          Cache.memoize (Cache.key ~profile:p ~scale ~kind:"ptrace") (fun () ->
-              capture scale p)
-        else capture scale p
+        W.Executor.packed (W.Executor.create ~insts:(scaled_insts p scale) p)
       in
       let bytes = Repro_isa.Packed_trace.byte_size pt in
       locked (fun () ->
@@ -317,15 +285,12 @@ let clear_cache ?(disk = false) () =
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
 
-(* Replayable source for one simulation pass of the trace-simulating
+(* Packed capture for one simulation pass of the trace-simulating
    experiments (figs 5-9); accounts the simulated instructions per
    pass exactly as a streaming run would. *)
 let source scale (p : W.Profile.t) =
-  let insts = scaled_insts p scale in
-  note_sim_insts insts;
-  if packed_enabled () then A.Tool.Source.of_packed (packed_trace scale p)
-  else
-    A.Tool.Source.of_trace (W.Executor.trace (W.Executor.create ~insts p))
+  note_sim_insts (scaled_insts p scale);
+  packed_trace scale p
 
 let serial = A.Branch_mix.Only Repro_isa.Section.Serial
 let parallel = A.Branch_mix.Only Repro_isa.Section.Parallel
@@ -747,26 +712,13 @@ let fig5_tag = row_tag "fig5" F.Zoo.all_names
 
 let fig5_rows ~jobs ~where scale profiles =
   let names = Array.of_list F.Zoo.all_names in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
-        let specs =
-          Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
-        in
-        Array.map
-          (fun r -> A.Bp_sweep.mpki r total)
-          (A.Bp_sweep.run (source scale p) specs))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun n -> A.Bp_sim.create (F.Zoo.by_name n))
-            F.Zoo.all_names
-        in
-        A.Bp_sim.run_all (source scale p) sims;
-        Array.of_list (List.map (fun s -> A.Bp_sim.mpki s total) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
+      let specs =
+        Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
+      in
+      Array.map
+        (fun r -> A.Bp_sweep.mpki r total)
+        (A.Bp_sweep.run (source scale p) specs))
 
 let fig5_suite_mpki ~jobs scale suite =
   let profiles = W.Suites.by_suite suite in
@@ -810,33 +762,16 @@ let fig6_configs = [ "gshare-big"; "gshare-small"; "L-gshare-small" ]
 let fig6_tag = row_tag "fig6" fig6_configs
 
 let fig6_rows ~jobs scale profiles =
-  let configs = fig6_configs in
+  let specs = Array.of_list (List.map A.Bp_sweep.of_name fig6_configs) in
   bench_map ~jobs ~where:"fig6"
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
-      let cells =
-        if fused_enabled () then
-          let specs = Array.of_list (List.map A.Bp_sweep.of_name configs) in
-          A.Bp_sweep.run (source scale p) specs
-          |> Array.to_list
-          |> List.concat_map (fun r ->
-                 List.map
-                   (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
-                   A.Bp_sim.causes)
-        else begin
-          let sims =
-            List.map (fun n -> A.Bp_sim.create (F.Zoo.by_name n)) configs
-          in
-          A.Bp_sim.run_all (source scale p) sims;
-          List.concat_map
-            (fun sim ->
-              List.map
-                (fun cause -> f2 (A.Bp_sim.mpki_by_cause sim total cause))
-                A.Bp_sim.causes)
-            sims
-        end
-      in
-      cells)
+      A.Bp_sweep.run (source scale p) specs
+      |> Array.to_list
+      |> List.concat_map (fun r ->
+             List.map
+               (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
+               A.Bp_sim.causes))
     profiles
 
 let fig6 ~jobs scale =
@@ -881,23 +816,10 @@ let fig7_tag =
 
 let fig7_rows ~jobs ~where scale profiles =
   let configs = Array.of_list btb_configs in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
-        Array.map
-          (fun r -> A.Btb_sweep.mpki r total)
-          (A.Btb_sweep.run (source scale p) (Array.sub configs lo (hi - lo))))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun (e, a) -> A.Btb_sim.create ~entries:e ~assoc:a)
-            btb_configs
-        in
-        A.Btb_sim.run_all (source scale p) sims;
-        Array.of_list (List.map (fun s -> A.Btb_sim.mpki s total) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
+      Array.map
+        (fun r -> A.Btb_sweep.mpki r total)
+        (A.Btb_sweep.run (source scale p) (Array.sub configs lo (hi - lo))))
 
 let fig7 ~jobs scale =
   let t =
@@ -932,25 +854,10 @@ let icache_cfg_sig (c : A.Icache_sweep.config) =
 
 let icache_rows ~jobs ~where ~configs scale profiles =
   let carr = Array.of_list configs in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
-        Array.map
-          (fun r -> A.Icache_sweep.mpki r total)
-          (A.Icache_sweep.run (source scale p) (Array.sub carr lo (hi - lo))))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun (c : A.Icache_sweep.config) ->
-              A.Icache_sim.create ~policy:c.policy ~size_bytes:c.size_bytes
-                ~line_bytes:c.line_bytes ~assoc:c.assoc ())
-            configs
-        in
-        A.Icache_sim.run_all (source scale p) sims;
-        Array.of_list (List.map (fun s -> A.Icache_sim.mpki s total) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
+      Array.map
+        (fun r -> A.Icache_sweep.mpki r total)
+        (A.Icache_sweep.run (source scale p) (Array.sub carr lo (hi - lo))))
 
 let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
     per_suite =
@@ -1029,11 +936,11 @@ let fig9u_rows ~jobs ~where scale profiles =
   bench_map ~jobs ~where
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
-      let sim =
-        A.Icache_sim.create ~size_bytes:16384 ~line_bytes:128 ~assoc:8 ()
+      let r =
+        A.Icache_sweep.run (source scale p)
+          [| A.Icache_sweep.cfg (16384, 128, 8) |]
       in
-      A.Icache_sim.run_all (source scale p) [ sim ];
-      A.Icache_sim.usefulness sim)
+      A.Icache_sweep.usefulness r.(0))
     profiles
 
 let fig8 ~jobs scale =
@@ -1379,34 +1286,32 @@ let prefetch ~jobs scale id =
     sup (fun p -> ignore (evaluate_cmps_learned scale p)) profiles
   in
   let traces profiles =
-    if packed_enabled () then begin
-      let uncached =
-        if not (Cache.enabled ()) then profiles
-        else begin
-          let missing : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-          List.iter
-            (fun { t_kind; t_bench } ->
-              if String.length t_kind > 4 && String.sub t_kind 0 4 = "row."
-              then
-                let tag = String.sub t_kind 4 (String.length t_kind - 4) in
-                match
-                  List.find_opt
-                    (fun (p : W.Profile.t) -> String.equal p.name t_bench)
-                    profiles
-                with
-                | Some p -> (
-                    match Cache.find (row_key ~tag ~scale p) with
-                    | Some _ -> ()
-                    | None -> Hashtbl.replace missing p.name ())
-                | None -> ())
-            (tasks_for id);
-          List.filter
-            (fun (p : W.Profile.t) -> Hashtbl.mem missing p.name)
-            profiles
-        end
-      in
-      sup (fun p -> ignore (packed_trace scale p)) uncached
-    end
+    let uncached =
+      if not (Cache.enabled ()) then profiles
+      else begin
+        let missing : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+        List.iter
+          (fun { t_kind; t_bench } ->
+            if String.length t_kind > 4 && String.sub t_kind 0 4 = "row."
+            then
+              let tag = String.sub t_kind 4 (String.length t_kind - 4) in
+              match
+                List.find_opt
+                  (fun (p : W.Profile.t) -> String.equal p.name t_bench)
+                  profiles
+              with
+              | Some p -> (
+                  match Cache.find (row_key ~tag ~scale p) with
+                  | Some _ -> ()
+                  | None -> Hashtbl.replace missing p.name ())
+              | None -> ())
+          (tasks_for id);
+        List.filter
+          (fun (p : W.Profile.t) -> Hashtbl.mem missing p.name)
+          profiles
+      end
+    in
+    sup (fun p -> ignore (packed_trace scale p)) uncached
   in
   match id with
   | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> charz W.Suites.all

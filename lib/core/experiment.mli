@@ -76,32 +76,23 @@ val strict_enabled : unit -> bool
 
 val clear_cache : ?disk:bool -> unit -> unit
 (** Drop memoized characterizations, measurements and packed traces;
-    with [~disk:true] also delete the persistent {!Cache} entries. *)
+    with [~disk:true] also delete the persistent {!Cache} entries.
 
-val set_packed : bool -> unit
-(** Enable or disable packed-trace capture for the trace-simulating
-    experiments (figs 5-9). When enabled (the default unless
-    [REPRO_PACKED=0]), each (benchmark, scale) stream is captured once
-    into a {!Repro_isa.Packed_trace} and replayed across sweep
-    configurations, under an LRU byte budget ([REPRO_PACKED_MB],
-    default 512); [REPRO_PACKED_CACHE=1] additionally persists
-    captures through {!Cache}. Results are identical either way. *)
+    The trace-simulating experiments (figs 5-9) have one path: each
+    (benchmark, scale) stream is captured once into a
+    {!Repro_isa.Packed_trace}, held under an LRU byte budget
+    ([REPRO_PACKED_MB], default 512), and replayed through the fused
+    sweep kernels ({!Repro_analysis.Bp_sweep},
+    {!Repro_analysis.Btb_sweep}, {!Repro_analysis.Icache_sweep}).
+    When there are more Engine domains than benchmarks, the
+    configuration axis is additionally sharded across domains. *)
 
-val packed_enabled : unit -> bool
-
-val set_fused : bool -> unit
-(** Enable or disable the fused sweep kernels
-    ({!Repro_analysis.Bp_sweep}, {!Repro_analysis.Btb_sweep},
-    {!Repro_analysis.Icache_sweep}) for the configuration sweeps of
-    figs 5-9. When enabled (the default unless [REPRO_FUSED=0]),
-    every hardware configuration of a sweep is simulated in one pass
-    over each benchmark's stream, with stream-derived state (history
-    register, line spans, set/tag splits) computed once and shared;
-    when there are more Engine domains than benchmarks, the
-    configuration axis is additionally sharded across domains.
-    Results are bit-identical either way. *)
-
-val fused_enabled : unit -> bool
+val default_scale : unit -> float
+(** The scale of a run that names none: [REPRO_SCALE] when it is a
+    finite positive number (a malformed value warns once), else
+    [1.0]. The CLI, the bench harness and the serve daemon all start
+    from this one reader, so they agree with a daemon's environment
+    reload. *)
 
 (** {1 Task decomposition}
 
@@ -130,8 +121,7 @@ val tasks_for : id -> task list
     tables ([Tab2], [Tab3]). *)
 
 val run_task : scale:float -> task -> bool
-(** Execute one task under the current process-wide toggles
-    (packed/fused), storing its artifact in the {!Cache}.
+(** Execute one task, storing its artifact in the {!Cache}.
     Returns [false] for an unknown kind/tag or benchmark (a
     version-skewed coordinator), [true] otherwise — including tasks
     whose measurement degraded to a hole, which simply store nothing

@@ -20,18 +20,14 @@ type config = {
   scale : float;
   jobs : int;
   faults : string option;
-  packed : bool;
-  fused : bool;
 }
 
 let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 
 let current_config () =
-  { scale = Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 ();
+  { scale = Experiment.default_scale ();
     jobs = Engine.default_jobs ();
-    faults = Faults.spec ();
-    packed = Experiment.packed_enabled ();
-    fused = Experiment.fused_enabled () }
+    faults = Faults.spec () }
 
 (* Each reader falls back to the running value when its variable is
    unset (or malformed), so a reload never silently undoes a setting
@@ -51,26 +47,20 @@ let env_config base =
   in
   { scale = Env.float_positive ~name:"REPRO_SCALE" ~default:base.scale ();
     jobs;
-    faults;
-    packed = Env.flag ~name:"REPRO_PACKED" ~default:base.packed;
-    fused = Env.flag ~name:"REPRO_FUSED" ~default:base.fused }
+    faults }
 
 (* Push a configuration into the process-wide toggles. Called only
    from inside the reload critical section (or before any worker is
    spawned), so no request can observe a half-applied set. *)
 let apply_config cfg =
   Engine.set_default_jobs cfg.jobs;
-  Experiment.set_packed cfg.packed;
-  Experiment.set_fused cfg.fused;
   Faults.configure cfg.faults
 
 let config_json cfg =
   Json.Obj
     [ ("scale", Json.Num cfg.scale);
       ("jobs", Json.Num (float_of_int cfg.jobs));
-      ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null));
-      ("packed", Json.Bool cfg.packed);
-      ("fused", Json.Bool cfg.fused) ]
+      ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                       *)
@@ -228,7 +218,7 @@ let stats_json t =
    name: a field this build does not know (a typo, or an option an
    older build had) must not be accepted and silently ignored. *)
 let reload_fields =
-  [ "op"; "seq"; "env"; "scale"; "jobs"; "faults"; "packed"; "fused" ]
+  [ "op"; "seq"; "env"; "scale"; "jobs"; "faults" ]
 
 (* Build the reload target: the current (or env) config overridden by
    the request's explicit fields. Malformed or unknown fields are
@@ -254,12 +244,6 @@ let parse_reload base req =
     | Some (Json.Num f) -> k f acc
     | Some _ -> Error (name ^ " must be a number")
   in
-  let boolean name k acc =
-    match Json.member name req with
-    | None -> Ok acc
-    | Some (Json.Bool b) -> Ok (k b acc)
-    | Some _ -> Error (name ^ " must be a boolean")
-  in
   let* cfg =
     num "scale"
       (fun f acc ->
@@ -282,8 +266,6 @@ let parse_reload base req =
     | Some (Json.Str s) -> Ok { cfg with faults = (if s = "" then None else Some s) }
     | Some _ -> Error "faults must be a string or null"
   in
-  let* cfg = boolean "packed" (fun b acc -> { acc with packed = b }) cfg in
-  let* cfg = boolean "fused" (fun b acc -> { acc with fused = b }) cfg in
   Ok cfg
 
 type action = Continue | Shutdown

@@ -32,9 +32,8 @@
     {2 Zero-downtime reload}
 
     A [reload] request — or, in the CLI wrapper, [SIGHUP] — swaps the
-    active configuration (scale, jobs, fault spec, packed/fused
-    toggles) atomically with respect to request
-    dispatch: the reloader waits for in-flight requests to drain
+    active configuration (scale, jobs, fault spec) atomically with
+    respect to request dispatch: the reloader waits for in-flight requests to drain
     (new arrivals park at the gate), applies the new configuration to
     the process-wide toggles, bumps the {e generation} counter, and
     releases the gate. No in-flight request is dropped and no request
@@ -56,8 +55,6 @@ type config = {
   scale : float;  (** instruction-budget multiplier for every run *)
   jobs : int;  (** {!Engine} pool size per request (clamped 1..64) *)
   faults : string option;  (** {!Repro_util.Faults.configure} spec *)
-  packed : bool;  (** packed-trace capture ({!Experiment.set_packed}) *)
-  fused : bool;  (** fused sweep kernels ({!Experiment.set_fused}) *)
 }
 
 val current_config : unit -> config
@@ -68,8 +65,8 @@ val current_config : unit -> config
 
 val env_config : config -> config
 (** [env_config base] overlays the [REPRO_*] variables that are set
-    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS], [REPRO_PACKED],
-    [REPRO_FUSED]) onto [base], through the audited
+    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS]) onto [base],
+    through the audited
     {!Repro_util.Env} readers; an unset or malformed variable keeps
     [base]'s value. This is the [SIGHUP] reload source, applied to
     the running configuration. *)

@@ -3,9 +3,10 @@
    The contract under test: a Repro_isa.Packed_trace capture is
    observationally identical to the stream it was built from — full
    replay, the filtered conditional/redirect replays, the bulk section
-   counts, characterizations built from it (Marshal byte-identity),
-   and every trace-simulating experiment's rendered tables, across
-   sequential and parallel engine runs and through the disk cache. *)
+   counts and characterizations built from it (Marshal
+   byte-identity). The trace-simulating experiments, which replay
+   captures, render the same tables at any pool size and through the
+   disk cache. *)
 
 module I = Repro_isa.Inst
 module S = Repro_isa.Section
@@ -144,32 +145,27 @@ let test_executor_capture () =
 
 (* ------------------------------------------------------------------ *)
 (* Every trace-simulating experiment renders byte-identical tables
-   with packed replay on and off, sequentially and in parallel. *)
+   sequentially and in parallel (fig7 has no golden file; this is its
+   rendering check). *)
 
 let sweep_ids = C.Experiment.[ Fig5; Fig6; Fig7; Fig8; Fig9 ]
 
-let render ~packed ~jobs id =
-  C.Experiment.set_packed packed;
+let render ~jobs id =
   C.Experiment.clear_cache ();
-  Fun.protect
-    ~finally:(fun () -> C.Experiment.set_packed true)
-    (fun () -> C.Report.run_to_string ~scale:0.02 ~jobs id)
+  C.Report.run_to_string ~scale:0.02 ~jobs id
 
 let test_sweeps_identical id () =
   C.Cache.set_enabled false;
-  let reference = render ~packed:false ~jobs:1 id in
-  Alcotest.(check string) "packed -j1 == streaming -j1" reference
-    (render ~packed:true ~jobs:1 id);
-  Alcotest.(check string) "packed -j4 == streaming -j1" reference
-    (render ~packed:true ~jobs:4 id)
+  Alcotest.(check string) "-j4 == -j1" (render ~jobs:1 id) (render ~jobs:4 id)
 
 (* ------------------------------------------------------------------ *)
 (* Static branch-prediction engines (Always_taken / Always_not_taken /
-   Btfn) on the packed conditional fast path: Bp_sim.run_all over a
-   capture replays only the conditional branches and absorbs the
-   instruction totals in bulk, and the statics carry no state that
-   warmup could train — the packed counts must equal the streaming
-   counts AND a direct recount over the raw list (warmup excluded). *)
+   Btfn) carry no state that warmup could train, so their counts have
+   a closed form: a direct recount over the raw list (warmup
+   excluded). Both the per-config Bp_sim observers over the stream
+   and the fused Bp_sweep kernel over a capture — which replays only
+   the conditional branches and absorbs the instruction totals in
+   bulk — must reproduce it. *)
 
 let static_predicts s (i : I.t) =
   match s with
@@ -182,14 +178,13 @@ let prop_static_engines =
     ~count:150 with_chunks (fun (insts, cap) ->
       let statics = A.Bp_sim.[ Always_taken; Always_not_taken; Btfn ] in
       let tr = Trace.of_list insts in
-      let pt = P.of_trace ~chunk_capacity:cap tr in
-      let run src =
-        let sims = List.map A.Bp_sim.create_static statics in
-        A.Bp_sim.run_all src sims;
-        sims
+      let streamed = List.map A.Bp_sim.create_static statics in
+      A.Tool.run_all tr (List.map A.Bp_sim.observer streamed);
+      let packed =
+        A.Bp_sweep.run
+          (P.of_trace ~chunk_capacity:cap tr)
+          (Array.of_list (List.map A.Bp_sweep.of_static statics))
       in
-      let streamed = run (A.Tool.Source.of_trace tr)
-      and packed = run (A.Tool.Source.of_packed pt) in
       let scopes = A.Branch_mix.[ Total; Only S.Serial; Only S.Parallel ] in
       List.for_all2
         (fun s (st, pk) ->
@@ -213,42 +208,46 @@ let prop_static_engines =
               let want_insts = expect in_scope false
               and want_miss = expect in_scope true in
               A.Bp_sim.insts st scope = want_insts
-              && A.Bp_sim.insts pk scope = want_insts
+              && A.Bp_sweep.insts pk scope = want_insts
               && A.Bp_sim.mispredictions st scope = want_miss
-              && A.Bp_sim.mispredictions pk scope = want_miss
+              && A.Bp_sweep.mispredictions pk scope = want_miss
               && A.Bp_sim.conditional_branches st scope
-                 = A.Bp_sim.conditional_branches pk scope)
+                 = A.Bp_sweep.conditional_branches pk scope)
             scopes)
         statics
-        (List.combine streamed packed))
+        (List.combine streamed (Array.to_list packed)))
 
 (* ------------------------------------------------------------------ *)
-(* Disk persistence: with REPRO_PACKED_CACHE=1 a capture written by
-   one run is read back by the next and replays identically. *)
+(* Disk persistence: the rows a sweep writes to the persistent cache
+   are read back by the next run, which renders the same bytes
+   without capturing a single trace. *)
 
 let test_disk_persistence () =
   let dir = "packed_cache_dir" in
   C.Cache.set_dir dir;
   C.Cache.set_enabled true;
-  Unix.putenv "REPRO_PACKED_CACHE" "1";
+  Repro_util.Telemetry.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "REPRO_PACKED_CACHE" "0";
+      Repro_util.Telemetry.set_enabled false;
       C.Experiment.clear_cache ~disk:true ();
       C.Cache.set_enabled false;
       try Sys.rmdir dir with Sys_error _ -> ())
     (fun () ->
-      C.Experiment.set_packed true;
+      let captured () = Repro_util.Telemetry.counter "trace.insts" in
       C.Experiment.clear_cache ();
+      let c0 = captured () in
       let cold = C.Report.run_to_string ~scale:0.02 ~jobs:1 C.Experiment.Fig7 in
+      Alcotest.(check bool) "cold run captures" true (captured () > c0);
       (* Drop the in-process memo; the second run must be served by the
          persistent cache and still render the same bytes. *)
       C.Experiment.clear_cache ();
-      let hits0 = (C.Engine.stats ()).cache_hits in
+      let hits0 = (C.Engine.stats ()).cache_hits and c1 = captured () in
       let warm = C.Report.run_to_string ~scale:0.02 ~jobs:1 C.Experiment.Fig7 in
       Alcotest.(check string) "warm == cold" cold warm;
-      Alcotest.(check bool) "captures served from disk" true
-        ((C.Engine.stats ()).cache_hits > hits0))
+      Alcotest.(check bool) "rows served from disk" true
+        ((C.Engine.stats ()).cache_hits > hits0);
+      Alcotest.(check int) "warm run captures nothing" c1 (captured ()))
 
 let () =
   Alcotest.run "packed"

@@ -32,8 +32,6 @@ let with_server ?(workers = 4) ?(scale = scale) f =
       (try Sys.rmdir cache_dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled;
-      C.Experiment.set_packed true;
-      C.Experiment.set_fused true;
       Repro_util.Faults.configure None)
     (fun () -> f (t, sock))
 
@@ -228,8 +226,9 @@ let test_reload_semantics () =
             (field "ok" bad = J.Bool false);
           Alcotest.(check int) "generation unchanged" 0 (S.generation t);
           (* a field this build does not know is refused by name, not
-             accepted and ignored: neither the removed [sample] option
-             nor an arbitrary unknown key may move the generation *)
+             accepted and ignored: neither the removed [sample],
+             [packed] and [fused] options nor an arbitrary unknown key
+             may move the generation *)
           List.iter
             (fun (key, v) ->
               let r =
@@ -243,10 +242,11 @@ let test_reload_semantics () =
               (match field "error" r with
               | J.Str e ->
                   Alcotest.(check bool) (key ^ " named in the error") true
-                    (String.ends_with ~suffix:key e)
+                    (String.ends_with ~suffix:("unknown field: " ^ key) e)
               | _ -> Alcotest.fail "error is not a string");
               Alcotest.(check int) "generation unchanged" 0 (S.generation t))
-            [ ("sample", J.Num 0.25); ("bogus", J.Num 1.0) ];
+            [ ("sample", J.Num 0.25); ("packed", J.Bool false);
+              ("fused", J.Bool false); ("bogus", J.Num 1.0) ];
           (* a good reload bumps the generation and echoes the config *)
           let r =
             request conn
@@ -290,6 +290,59 @@ let test_env_reload_keeps_unset () =
           let after = S.config t in
           Alcotest.(check (float 0.0)) "running scale kept" 0.05 after.S.scale;
           Alcotest.(check int) "jobs kept" before.S.jobs after.S.jobs))
+
+(* The CLI's --scale default comes from the same REPRO_SCALE reader
+   as the daemon's environment reload: [repro_cli serve] started with
+   the variable set serves at that scale from its first request, and
+   an unchanged-environment reload keeps it. *)
+let test_cli_scale_from_env () =
+  let cli = Filename.concat Filename.parent_dir_name "bin/repro_cli.exe" in
+  let sock =
+    Printf.sprintf "_cli_test_%d_%d.sock" (Unix.getpid ()) (Random.int 1_000_000)
+  in
+  let env =
+    Array.append
+      (Array.of_list
+         (List.filter
+            (fun kv -> not (String.starts_with ~prefix:"REPRO_" kv))
+            (Array.to_list (Unix.environment ()))))
+      [| "REPRO_SCALE=0.05"; "REPRO_CACHE=0" |]
+  in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let pid =
+    Unix.create_process_env cli
+      [| cli; "serve"; "--socket"; sock; "--serve-workers"; "1"; "-j"; "1" |]
+      env Unix.stdin out_w Unix.stderr
+  in
+  Unix.close out_w;
+  let ic = Unix.in_channel_of_descr out_r in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid);
+      close_in_noerr ic;
+      try Sys.remove sock with Sys_error _ -> ())
+    (fun () ->
+      (match Unix.select [ out_r ] [] [] 30.0 with
+      | [], _, _ -> Alcotest.fail "serve printed nothing within 30 s"
+      | _ -> ());
+      let banner = input_line ic in
+      Alcotest.(check bool)
+        ("started at REPRO_SCALE: " ^ banner)
+        true
+        (String.ends_with ~suffix:"scale 0.05)" banner);
+      let conn = S.Client.connect ~retry_for:10.0 ~socket:sock () in
+      Fun.protect
+        ~finally:(fun () -> S.Client.close conn)
+        (fun () ->
+          let r =
+            request conn (J.Obj [ ("op", J.Str "reload"); ("env", J.Bool true) ])
+          in
+          check_ok r;
+          match J.member "scale" (field "config" r) with
+          | Some (J.Num v) ->
+              Alcotest.(check (float 0.0)) "env reload keeps it" 0.05 v
+          | _ -> Alcotest.fail "config.scale is not a number"))
 
 (* The property the quiesce gate exists for: under a storm of
    concurrent reloads, every request still gets exactly one response,
@@ -351,4 +404,6 @@ let () =
          test_reload_semantics
        :: Alcotest.test_case "env reload keeps unset knobs" `Quick
             test_env_reload_keeps_unset
+       :: Alcotest.test_case "cli scale default follows REPRO_SCALE" `Quick
+            test_cli_scale_from_env
        :: qcheck [ qcheck_reload_never_loses_responses ]) ]

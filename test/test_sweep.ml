@@ -1,19 +1,23 @@
 (* Differential tests for the fused multi-configuration sweep kernels.
 
    The contract under test: Repro_analysis.{Bp_sweep, Btb_sweep,
-   Icache_sweep} over N configurations and one source are
+   Icache_sweep} over N configurations and a packed capture are
    bit-identical — every counter and every derived float — to N
-   independent per-configuration {Bp_sim, Btb_sim, Icache_sim} runs
-   over the same source, for both source forms (streaming trace and
-   packed capture), and invariant under splitting the configuration
-   axis into sub-ranges (the property Experiment's sweep_map relies
-   on when it shards configurations across Engine domains). *)
+   independent per-configuration {Bp_sim, Btb_sim, Icache_sim}
+   observers driven by Tool.run_all over the stream the capture was
+   built from, and invariant under splitting the configuration axis
+   into sub-ranges (the property Experiment's sweep_map relies on
+   when it shards configurations across Engine domains). The
+   per-config observers are the oracle: they see every instruction
+   in order, with none of the kernels' filtering, bulk counting or
+   shared per-stream state. *)
 
 module I = Repro_isa.Inst
 module S = Repro_isa.Section
 module Trace = Repro_isa.Trace
 module P = Repro_isa.Packed_trace
 module F = Repro_frontend
+module W = Repro_workload
 module A = Repro_analysis
 
 let scopes =
@@ -49,16 +53,13 @@ let inst_gen =
 let stream_gen = QCheck.Gen.(list_size (int_range 0 600) inst_gen)
 
 let stream_arb =
-  QCheck.make
-    QCheck.Gen.(pair stream_gen bool)
-    ~print:(fun (l, packed) ->
-      Printf.sprintf "<%d insts, %s>" (List.length l)
-        (if packed then "packed" else "stream"))
+  QCheck.make stream_gen ~print:(fun l ->
+      Printf.sprintf "<%d insts>" (List.length l))
 
-let source_of (insts, packed) =
-  let tr = Trace.of_list insts in
-  if packed then A.Tool.Source.of_packed (P.of_trace tr)
-  else A.Tool.Source.of_trace tr
+(* The kernels' input and the oracle's: a capture of the stream, and
+   the stream itself driven through per-config observers. *)
+let packed_of insts = P.of_trace (Trace.of_list insts)
+let stream_run insts observers = A.Tool.run_all (Trace.of_list insts) observers
 
 (* ------------------------------------------------------------------ *)
 (* Branch predictors: all nine Zoo configurations plus the statics. *)
@@ -97,10 +98,10 @@ let bp_agrees (fused : A.Bp_sweep.t) (sim : A.Bp_sim.t) =
 
 let prop_bp_fused =
   QCheck.Test.make ~name:"Bp_sweep == per-config Bp_sim" ~count:60 stream_arb
-    (fun input ->
-      let fused = A.Bp_sweep.run (source_of input) (bp_specs ()) in
+    (fun insts ->
+      let fused = A.Bp_sweep.run (packed_of insts) (bp_specs ()) in
       let sims = bp_sims () in
-      A.Bp_sim.run_all (source_of input) sims;
+      stream_run insts (List.map A.Bp_sim.observer sims);
       List.for_all2 bp_agrees (Array.to_list fused) sims)
 
 (* ------------------------------------------------------------------ *)
@@ -123,14 +124,14 @@ let btb_agrees (fused : A.Btb_sweep.t) (sim : A.Btb_sim.t) =
 
 let prop_btb_fused =
   QCheck.Test.make ~name:"Btb_sweep == per-config Btb_sim" ~count:100
-    stream_arb (fun input ->
-      let fused = A.Btb_sweep.run (source_of input) btb_configs in
+    stream_arb (fun insts ->
+      let fused = A.Btb_sweep.run (packed_of insts) btb_configs in
       let sims =
         Array.to_list
           (Array.map (fun (entries, assoc) -> A.Btb_sim.create ~entries ~assoc)
              btb_configs)
       in
-      A.Btb_sim.run_all (source_of input) sims;
+      stream_run insts (List.map A.Btb_sim.observer sims);
       List.for_all2 btb_agrees (Array.to_list fused) sims)
 
 (* ------------------------------------------------------------------ *)
@@ -177,18 +178,18 @@ let icache_agrees (fused : A.Icache_sweep.t) (sim : A.Icache_sim.t) =
      = F.Icache.useful_prefetches (A.Icache_sim.cache sim)
   && feq (A.Icache_sweep.usefulness fused) (A.Icache_sim.usefulness sim)
 
-let icache_prop ~configs ~next_line_prefetch input =
-  let fused = A.Icache_sweep.run ~next_line_prefetch (source_of input) configs in
-  let sims =
-    Array.to_list
-      (Array.map
-         (fun (c : A.Icache_sweep.config) ->
-           A.Icache_sim.create ~next_line_prefetch ~policy:c.policy
-             ~size_bytes:c.size_bytes ~line_bytes:c.line_bytes ~assoc:c.assoc
-             ())
-         configs)
-  in
-  A.Icache_sim.run_all (source_of input) sims;
+let icache_sims ~next_line_prefetch configs =
+  Array.to_list
+    (Array.map
+       (fun (c : A.Icache_sweep.config) ->
+         A.Icache_sim.create ~next_line_prefetch ~policy:c.policy
+           ~size_bytes:c.size_bytes ~line_bytes:c.line_bytes ~assoc:c.assoc ())
+       configs)
+
+let icache_prop ~configs ~next_line_prefetch insts =
+  let fused = A.Icache_sweep.run ~next_line_prefetch (packed_of insts) configs in
+  let sims = icache_sims ~next_line_prefetch configs in
+  stream_run insts (List.map A.Icache_sim.observer sims);
   List.for_all2 icache_agrees (Array.to_list fused) sims
 
 let prop_icache_fused =
@@ -234,22 +235,19 @@ let prop_icache_fused_mixed_prefetch =
 
 let split_arb =
   QCheck.make
-    QCheck.Gen.(triple stream_gen bool (int_range 1 5))
-    ~print:(fun (l, packed, cut) ->
-      Printf.sprintf "<%d insts, %s, cut=%d>" (List.length l)
-        (if packed then "packed" else "stream")
-        cut)
+    QCheck.Gen.(pair stream_gen (int_range 1 5))
+    ~print:(fun (l, cut) ->
+      Printf.sprintf "<%d insts, cut=%d>" (List.length l) cut)
 
 let prop_split_ranges =
   QCheck.Test.make ~name:"sub-range sweep == slice of whole sweep" ~count:40
-    split_arb (fun (insts, packed, cut) ->
-      let input = (insts, packed) in
-      let whole = A.Icache_sweep.run (source_of input) icache_mixed_configs in
+    split_arb (fun (insts, cut) ->
+      let pt = packed_of insts in
+      let whole = A.Icache_sweep.run pt icache_mixed_configs in
       let n = Array.length icache_mixed_configs in
       let cut = min cut (n - 1) in
       let part lo len =
-        A.Icache_sweep.run (source_of input)
-          (Array.sub icache_mixed_configs lo len)
+        A.Icache_sweep.run pt (Array.sub icache_mixed_configs lo len)
       in
       let parts = Array.append (part 0 cut) (part cut (n - cut)) in
       Array.for_all2
@@ -263,6 +261,52 @@ let prop_split_ranges =
           && feq (A.Icache_sweep.usefulness a) (A.Icache_sweep.usefulness b))
         whole parts)
 
+(* ------------------------------------------------------------------ *)
+(* Real workloads: the figures' exact configuration axes over
+   Executor streams, where long-lived predictor and cache state,
+   warmup and both sections all occur at realistic rates. *)
+
+let fig5_specs = Array.of_list (List.map A.Bp_sweep.of_name F.Zoo.all_names)
+
+let fig7_configs =
+  Array.of_list
+    (List.concat_map
+       (fun entries -> List.map (fun assoc -> (entries, assoc)) [ 2; 4; 8 ])
+       [ 256; 512; 1024 ])
+
+let fig8_configs =
+  Array.of_list
+    (List.concat_map
+       (fun size -> List.map (fun a -> A.Icache_sweep.cfg (size, 64, a)) [ 2; 4; 8 ])
+       [ 8192; 16384; 32768 ])
+
+let check_workload name =
+  let ex = W.Executor.create ~insts:60_000 (W.Suites.find name) in
+  let pt = W.Executor.packed ex in
+  let bps =
+    List.map (fun n -> A.Bp_sim.create (F.Zoo.by_name n)) F.Zoo.all_names
+  and btbs =
+    Array.to_list
+      (Array.map
+         (fun (entries, assoc) -> A.Btb_sim.create ~entries ~assoc)
+         fig7_configs)
+  and ics = icache_sims ~next_line_prefetch:false fig8_configs in
+  A.Tool.run_all (W.Executor.trace ex)
+    (List.map A.Bp_sim.observer bps
+    @ List.map A.Btb_sim.observer btbs
+    @ List.map A.Icache_sim.observer ics);
+  let agree what ok fused sims =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %s" name what)
+      true
+      (List.for_all2 ok (Array.to_list fused) sims)
+  in
+  agree "fig5" bp_agrees (A.Bp_sweep.run pt fig5_specs) bps;
+  agree "fig7" btb_agrees (A.Btb_sweep.run pt fig7_configs) btbs;
+  agree "fig8" icache_agrees (A.Icache_sweep.run pt fig8_configs) ics
+
+let test_workloads () = List.iter check_workload [ "FT"; "CoMD"; "gobmk" ]
+
 let () =
   Alcotest.run "sweep"
     [ ("bp", Qseed.all [ prop_bp_fused ]);
@@ -272,5 +316,7 @@ let () =
          [ prop_icache_fused; prop_icache_fused_prefetch;
            prop_icache_fused_preuse; prop_icache_fused_preuse_prefetch;
            prop_icache_fused_mixed; prop_icache_fused_mixed_prefetch;
-           prop_split_ranges ])
-    ]
+           prop_split_ranges ]);
+      ("suites",
+       [ Alcotest.test_case "fig5/fig7/fig8 axes on FT, CoMD, gobmk" `Slow
+           test_workloads ]) ]
